@@ -39,7 +39,6 @@ DEFAULT_ALLOWED_MODULES: Tuple[str, ...] = (
     "harness/",
     "observability/",
     "analysis/",
-    "sharding/",
     "baselines/",
     "core/cluster.py",
 )

@@ -8,11 +8,11 @@ transport's latency model — and records every injected fault in a trace.
 The trace is pure data, so two runs with the same seed can be compared
 fault-for-fault to prove the schedule is reproducible.
 
-Both cluster facades are supported: a flat
-:class:`~repro.core.cluster.ReplicatedDatabase` and a
-:class:`~repro.sharding.cluster.ShardedCluster` (where crash/recovery must
-be routed through the owning shard's crash manager so that the shard's own
-coordinator-failover listener fires).
+Both cluster facades are supported through one view, their
+``replica_groups()``: a flat :class:`~repro.core.cluster.ReplicatedDatabase`
+is one group, a :class:`~repro.sharding.cluster.ShardedCluster` one group
+per shard.  Crash/recovery is routed through the owning group's crash
+manager so that the group's own coordinator-failover listener fires.
 """
 
 from __future__ import annotations
@@ -142,78 +142,57 @@ class _WindowTracker:
         return released
 
 
-class _FlatBinding:
-    """Adapter exposing a :class:`ReplicatedDatabase` to the orchestrator."""
+class _Binding:
+    """The orchestrator's view of a cluster: its replica groups by id.
+
+    See the binding contract of :class:`ChaosOrchestrator`.
+    """
 
     def __init__(self, cluster) -> None:
-        self.cluster = cluster
+        if not hasattr(cluster, "replica_groups"):
+            raise ChaosError(
+                f"cannot bind a fault plan to {type(cluster).__name__}; expected "
+                "a cluster facade exposing replica_groups()"
+            )
         self.kernel = cluster.kernel
         self.transport = cluster.transport
+        self.groups = cluster.replica_groups()
+        self.group_of_site = {
+            site_id: group
+            for group in self.groups.values()
+            for site_id in group.site_ids()
+        }
 
     def all_sites(self) -> List[SiteId]:
-        return list(self.cluster.site_ids())
+        return list(self.group_of_site)
 
-    def shard_sites(self, shard_id: ShardId) -> List[SiteId]:
-        raise ChaosError(
-            f"target shard({shard_id!r}) needs a sharded cluster; this plan is "
-            "bound to a flat ReplicatedDatabase"
-        )
+    def site(self, site_id: SiteId) -> SiteId:
+        if site_id not in self.group_of_site:
+            raise ChaosError(f"site {site_id!r} belongs to no replica group")
+        return site_id
+
+    def group(self, shard_id: ShardId):
+        try:
+            return self.groups[shard_id]
+        except KeyError:
+            raise ChaosError(
+                f"target names shard {shard_id!r}; this cluster's replica "
+                f"groups are {sorted(self.groups)}"
+            ) from None
 
     def coordinator(self, shard_id: Optional[ShardId]) -> SiteId:
         if shard_id is not None:
+            return self.group(shard_id).coordinator_site()
+        if len(self.groups) != 1:
             raise ChaosError(
-                f"target coordinator({shard_id!r}) names a shard but this plan "
-                "is bound to a flat ReplicatedDatabase"
+                "target coordinator() is ambiguous with several replica groups; "
+                "name a shard, e.g. coordinator('S2')"
             )
-        return self.cluster.coordinator_site()
+        (only,) = self.groups.values()
+        return only.coordinator_site()
 
     def crash_manager_of(self, site_id: SiteId):
-        return self.cluster.crash_manager
-
-
-class _ShardedBinding:
-    """Adapter exposing a :class:`ShardedCluster` to the orchestrator."""
-
-    def __init__(self, cluster) -> None:
-        self.cluster = cluster
-        self.kernel = cluster.kernel
-        self.transport = cluster.transport
-        self._shard_of_site: Dict[SiteId, ShardId] = {}
-        for shard_id in cluster.shard_ids():
-            for site_id in cluster.shard(shard_id).site_ids():
-                self._shard_of_site[site_id] = shard_id
-
-    def all_sites(self) -> List[SiteId]:
-        return list(self.cluster.site_ids())
-
-    def shard_sites(self, shard_id: ShardId) -> List[SiteId]:
-        return list(self.cluster.shard(shard_id).site_ids())
-
-    def coordinator(self, shard_id: Optional[ShardId]) -> SiteId:
-        if shard_id is None:
-            raise ChaosError(
-                "target coordinator() is ambiguous on a sharded cluster; name "
-                "a shard, e.g. coordinator('S2')"
-            )
-        return self.cluster.shard(shard_id).coordinator_site()
-
-    def crash_manager_of(self, site_id: SiteId):
-        try:
-            shard_id = self._shard_of_site[site_id]
-        except KeyError:
-            raise ChaosError(f"site {site_id!r} belongs to no shard") from None
-        return self.cluster.shard(shard_id).crash_manager
-
-
-def _bind(cluster):
-    if hasattr(cluster, "shards"):
-        return _ShardedBinding(cluster)
-    if hasattr(cluster, "crash_manager"):
-        return _FlatBinding(cluster)
-    raise ChaosError(
-        f"cannot bind a fault plan to {type(cluster).__name__}; expected a "
-        "ReplicatedDatabase or a ShardedCluster"
-    )
+        return self.group_of_site[site_id].crash_manager
 
 
 class ChaosOrchestrator:
@@ -232,22 +211,27 @@ class ChaosOrchestrator:
 
     Binding contract
     ----------------
-    ``cluster`` may be a flat :class:`~repro.core.cluster.ReplicatedDatabase`
-    or a :class:`~repro.sharding.cluster.ShardedCluster`; the orchestrator
-    adapts through an internal binding that resolves shard/role targets and
-    — crucially — routes crashes and recoveries through the *owning shard's*
-    crash manager, so the shard's own coordinator-failover and recovery
-    listeners fire exactly as they would for an organic fault.  Faults are
-    applied only through the cluster's public primitives (crash manager,
-    partition controller, latency model); the orchestrator never reaches
-    into protocol state, which is why every subsystem — including the
-    broadcast batching layer — is chaos-transparent by construction.
+    ``cluster`` is any facade exposing ``kernel``, ``transport`` and
+    ``replica_groups()`` — a mapping from group id to a
+    :class:`~repro.core.cluster.ReplicatedDatabase`.  A flat cluster is the
+    single group ``"global"``; a :class:`~repro.sharding.cluster.ShardedCluster`
+    has one group per shard.  Targets resolve against those groups:
+    ``shard(id)`` names a group, ``coordinator()`` needs a shard unless there
+    is exactly one group, and a site must belong to some group — an unknown
+    one raises :class:`~repro.errors.ChaosError` before any fault is applied.
+    Crashes and recoveries go through the *owning group's* crash manager, so
+    the group's own coordinator-failover and recovery listeners fire exactly
+    as they would for an organic fault.  Faults are applied only through the
+    cluster's public primitives (crash manager, partition controller,
+    latency model); the orchestrator never reaches into protocol state,
+    which is why every subsystem — including the broadcast batching layer —
+    is chaos-transparent by construction.
     """
 
     def __init__(self, cluster, plan: FaultPlan) -> None:
         self.cluster = cluster
         self.plan = plan
-        self.binding = _bind(cluster)
+        self.binding = _Binding(cluster)
         self.trace: List[InjectedFault] = []
         self._stream = self.binding.kernel.random.stream("chaos.targets")
         self._armed = False
@@ -371,14 +355,14 @@ class ChaosOrchestrator:
         resolved: List[SiteId] = []
         for target in targets:
             if target.kind == TARGET_SITE:
-                candidates = [target.site]
+                candidates = [self.binding.site(target.site)]
             elif target.kind == TARGET_SHARD:
-                candidates = self.binding.shard_sites(target.shard)
+                candidates = self.binding.group(target.shard).site_ids()
             elif target.kind == TARGET_COORDINATOR:
                 candidates = [self.binding.coordinator(target.shard)]
             elif target.kind == TARGET_RANDOM_SITE:
                 pool = (
-                    self.binding.shard_sites(target.shard)
+                    self.binding.group(target.shard).site_ids()
                     if target.shard is not None
                     else self.binding.all_sites()
                 )

@@ -25,7 +25,7 @@ from ..metrics.collector import MetricsCollector
 from ..network.dispatcher import SiteDispatcher
 from ..network.transport import NetworkTransport
 from ..simulation.kernel import SimulationKernel
-from ..types import ObjectKey, ObjectValue, SiteId, TransactionId
+from ..types import FLAT_SHARD_LABEL, ObjectKey, ObjectValue, ShardId, SiteId, TransactionId
 from .admission import (
     CAUSE_DEFER_EXHAUSTED,
     CAUSE_OVERLOAD,
@@ -208,6 +208,10 @@ class ReplicatedDatabase:
         )
 
     # ------------------------------------------------------------- accessors
+    def replica_groups(self) -> Dict[ShardId, "ReplicatedDatabase"]:
+        """The cluster's replica groups by id: a flat cluster is one group."""
+        return {FLAT_SHARD_LABEL: self}
+
     def site_ids(self) -> List[SiteId]:
         """Return the identifiers of all sites."""
         return list(self.replicas.keys())
@@ -338,8 +342,12 @@ class ReplicatedDatabase:
         return self.replica(site_id).submit_query(procedure_name, parameters)
 
     # ------------------------------------------------- open-loop offer paths
-    def _open_site_from(self, start: int) -> Optional[SiteId]:
-        """First open site at or after rotation index ``start`` (failover)."""
+    def open_site_from(self, start: int) -> Optional[SiteId]:
+        """First open site at or after rotation index ``start`` (failover).
+
+        ``start`` wraps round the ring, so any index is valid;
+        ``None`` means every site of the group is closed.
+        """
         site_ids = self.site_ids()
         for offset in range(len(site_ids)):
             candidate = site_ids[(start + offset) % len(site_ids)]
@@ -388,7 +396,7 @@ class ReplicatedDatabase:
         deferrals: int,
     ) -> Optional[TransactionId]:
         preferred = self.site_ids()[start]
-        target = self._open_site_from(start)
+        target = self.open_site_from(start)
         if target is None:
             # Whole replica set dark.  Under the defer policy the submission
             # waits for a recovery (the flat-cluster analogue of the sharded
@@ -459,7 +467,7 @@ class ReplicatedDatabase:
         preferred site) and returns ``None``.
         """
         start = self._next_offer_index(site_index)
-        target = self._open_site_from(start)
+        target = self.open_site_from(start)
         if target is None:
             preferred = self.site_ids()[start]
             self.replicas[preferred].metrics.increment(

@@ -15,6 +15,7 @@ Three layers, each usable alone:
 See ``docs/observability.md`` for the full catalogue and workflows.
 """
 
+from ..types import FLAT_SHARD_LABEL
 from .gate import (
     DEFAULT_MIN_SAMPLES,
     DEFAULT_SIGMAS,
@@ -26,7 +27,6 @@ from .gate import (
 )
 from .registry import (
     ABORT_CAUSES,
-    FLAT_SHARD_LABEL,
     PHASE_LATENCIES,
     DerivedMetrics,
     MetricsRegistry,

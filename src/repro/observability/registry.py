@@ -164,38 +164,26 @@ class MetricsRegistry:
 # Registry construction from cluster facades
 # ---------------------------------------------------------------------------
 
-#: Shard label applied to flat (unsharded) clusters so the namespace is
-#: identical in both deployment shapes.
-FLAT_SHARD_LABEL = "global"
-
-
 def build_registry(cluster: Any) -> MetricsRegistry:
     """Build a registry covering every replica of a cluster facade.
 
-    Accepts either a :class:`~repro.core.cluster.ReplicatedDatabase` (sites
-    labelled ``shard=global``) or a
-    :class:`~repro.sharding.cluster.ShardedCluster` (sites labelled with
-    their owning shard).
+    Each site is labelled with its replica group: the owning shard on a
+    :class:`~repro.sharding.cluster.ShardedCluster`, ``shard=global`` on a
+    flat :class:`~repro.core.cluster.ReplicatedDatabase`.
     """
     registry = MetricsRegistry()
-    if hasattr(cluster, "shards"):
-        for shard_id, shard in cluster.shards.items():
-            for site_id, replica in shard.replicas.items():
-                registry.register(replica.metrics, shard=shard_id, site=site_id)
-    else:
-        for site_id, replica in cluster.replicas.items():
-            registry.register(replica.metrics, shard=FLAT_SHARD_LABEL, site=site_id)
+    for shard_id, group in cluster.replica_groups().items():
+        for site_id, replica in group.replicas.items():
+            registry.register(replica.metrics, shard=shard_id, site=site_id)
     return registry
 
 
 def _endpoints_by_site(cluster: Any) -> Dict[SiteId, Any]:
-    if hasattr(cluster, "shards"):
-        endpoints: Dict[SiteId, Any] = {}
-        for shard in cluster.shards.values():
-            for site_id in shard.site_ids():
-                endpoints[site_id] = shard.broadcast_endpoint(site_id)
-        return endpoints
-    return {site_id: cluster.broadcast_endpoint(site_id) for site_id in cluster.site_ids()}
+    return {
+        site_id: group.broadcast_endpoint(site_id)
+        for group in cluster.replica_groups().values()
+        for site_id in group.site_ids()
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,10 @@ class ShardedCluster:
         """Return the identifiers of all shards."""
         return list(self.shards.keys())
 
+    def replica_groups(self) -> Dict[ShardId, ReplicatedDatabase]:
+        """The cluster's replica groups by id: one per shard, in shard order."""
+        return dict(self.shards)
+
     def shard(self, shard_id: ShardId) -> ReplicatedDatabase:
         """Return the replica group of ``shard_id``."""
         try:
@@ -200,17 +204,7 @@ class ShardedCluster:
         Returns the transaction id when admitted now, ``None`` otherwise.
         """
         parameters = dict(parameters or {})
-        procedure = self.registry.get(procedure_name)
-        if procedure.is_query:
-            raise ShardingError(
-                f"procedure {procedure_name!r} is a query; use submit_query instead"
-            )
-        conflict_class = procedure.resolve_conflict_class(parameters)
-        if conflict_class is None:
-            raise ShardingError(
-                f"update procedure {procedure_name!r} resolved no conflict class"
-            )
-        shard_id = self.shard_map.shard_of_class(conflict_class)
+        _, shard_id = self.router.owner_of_update(procedure_name, parameters)
         return self.shard(shard_id).offer_update(
             procedure_name, parameters, site_index=site_index
         )

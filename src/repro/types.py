@@ -20,6 +20,10 @@ ConflictClassId = str
 #: owning a subset of the conflict classes (e.g. ``"S1"``).
 ShardId = str
 
+#: Group id of a flat (unsharded) cluster's single replica group, so flat and
+#: sharded clusters share one shard-labelled namespace.
+FLAT_SHARD_LABEL: ShardId = "global"
+
 #: Key of a data object in the replicated database.
 ObjectKey = str
 

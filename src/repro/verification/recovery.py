@@ -22,9 +22,7 @@ every injected fault has been reverted:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
-
-from ..types import SiteId
+from typing import List
 
 
 @dataclass
@@ -124,10 +122,6 @@ def check_recovery_completeness(cluster) -> RecoveryReport:
     ``run_until_idle()`` with every injected fault reverted.
     """
     report = RecoveryReport()
-    shards: Dict[str, object] = getattr(cluster, "shards", None)
-    if shards is not None:
-        for shard_id, shard in shards.items():
-            _check_group(report, shard, label=f"shard {shard_id}")
-    else:
-        _check_group(report, cluster, label="cluster")
+    for shard_id, group in cluster.replica_groups().items():
+        _check_group(report, group, label=f"shard {shard_id}")
     return report

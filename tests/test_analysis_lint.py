@@ -272,6 +272,17 @@ class TestNoCrossSiteOracle:
         assert rules_of(findings) == ["no-cross-site-oracle"]
         assert "ground truth" in findings[0].message
 
+    def test_positive_ground_truth_in_the_router_layer(self, engine):
+        # The router picks replicas the way a client would: from the owning
+        # group's open-site scan, never from the crash manager.
+        source = (
+            "class Router:\n"
+            "    def pick(self, shard, site):\n"
+            "        return shard.crash_manager.is_up(site)\n"
+        )
+        findings = lint(engine, source, scope="sharding/router.py")
+        assert rules_of(findings) == ["no-cross-site-oracle"]
+
     def test_negative_network_layer_is_exempt(self, engine):
         findings = engine.lint_source(
             self.POSITIVE, path="network/x.py", scope_path="network/x.py"

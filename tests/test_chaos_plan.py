@@ -383,6 +383,20 @@ class TestFlatOrchestration:
         with pytest.raises(ChaosError):
             cluster.run_until_idle()
 
+    @pytest.mark.parametrize(
+        "build",
+        [build_flat_cluster, lambda: build_chaos_cluster(seed=2)[0]],
+        ids=["flat", "sharded"],
+    )
+    def test_unknown_site_target_rejected_before_any_fault(self, build):
+        cluster = build()
+        ChaosOrchestrator(cluster, FaultPlan().crash("N9", at=0.0)).arm()
+        with pytest.raises(ChaosError):
+            cluster.run_until_idle()
+        for group in cluster.replica_groups().values():
+            assert group.crash_manager.crash_count("N9") == 0
+            assert group.crash_manager.is_up("N9")
+
     def test_arming_twice_rejected(self):
         cluster = build_flat_cluster()
         orchestrator = ChaosOrchestrator(cluster, FaultPlan().crash("N1", at=0.0))

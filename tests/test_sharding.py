@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.config import BROADCAST_CONSERVATIVE, ShardingConfig
+from repro.core.cluster import ReplicatedDatabase
+from repro.core.config import BROADCAST_CONSERVATIVE, ClusterConfig, ShardingConfig
 from repro.errors import ReplicationError, ShardingError, WorkloadError
 from repro.sharding import (
     ShardMap,
@@ -19,6 +20,7 @@ from repro.workloads import (
     UPDATE_PROCEDURE,
     ShardedWorkloadGenerator,
     ShardedWorkloadSpec,
+    WorkloadSpec,
     build_conflict_map,
     build_initial_data,
     build_partitioned_registry,
@@ -185,6 +187,58 @@ class TestTransactionRouter:
             site_index=1,
         )
         assert routed.site_id == "S1:N2"
+
+    UPDATE_S1 = {"class_index": 0, "object_indexes": [0], "amount": 1}
+
+    def test_pinned_crashed_replica_fails_over_within_its_shard(self):
+        spec = ShardedWorkloadSpec(shard_count=2)
+        cluster = build_sharded_cluster(spec)
+        cluster.shard("S1").crash_manager.crash_now("S1:N2")
+        routed = cluster.submit_update(UPDATE_PROCEDURE, self.UPDATE_S1, site_index=1)
+        assert routed.site_id == "S1:N3"
+        assert cluster.router.deferred_submissions == 0
+        cluster.run_until_idle()
+        assert cluster.committed_per_shard() == {"S1": 1, "S2": 0}
+
+    def test_dark_shard_defers_until_a_replica_recovers(self):
+        spec = ShardedWorkloadSpec(shard_count=2)
+        cluster = build_sharded_cluster(spec)
+        shard = cluster.shard("S1")
+        for site_id in shard.site_ids():
+            shard.crash_manager.crash_now(site_id)
+        assert cluster.submit_update(UPDATE_PROCEDURE, self.UPDATE_S1) is None
+        assert cluster.router.deferred_submissions == 1
+        cluster.kernel.schedule(0.02, lambda: shard.crash_manager.recover_now("S1:N2"))
+        cluster.run_until_idle()
+        assert cluster.router.deferred_submissions > 1
+        [routed] = cluster.router.routed_updates
+        assert routed.site_id == "S1:N2"
+        assert routed.routed_at >= 0.02
+        assert shard.replica("S1:N2").committed_count() == 1
+
+
+def build_flat_cluster(site_count=4):
+    spec = WorkloadSpec(class_count=4)
+    return ReplicatedDatabase(
+        ClusterConfig(site_count=site_count, seed=5),
+        build_partitioned_registry(spec),
+        conflict_map=build_conflict_map(spec),
+        initial_data=build_initial_data(spec),
+    )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [build_flat_cluster, lambda: build_sharded_cluster(ShardedWorkloadSpec(shard_count=4))],
+    ids=["flat", "sharded"],
+)
+def test_replica_groups_cover_every_site_in_order(build):
+    cluster = build()
+    groups = cluster.replica_groups()
+    assert len(groups) == (1 if isinstance(cluster, ReplicatedDatabase) else 4)
+    assert [
+        site_id for group in groups.values() for site_id in group.site_ids()
+    ] == cluster.site_ids()
 
 
 class TestShardedCluster:
